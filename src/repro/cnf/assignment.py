@@ -1,11 +1,20 @@
 """The assignment trail shared vocabulary of the solver.
 
-Tracks, per variable: value, decision level, antecedent clause ID, and the
-chronological position on the trail. The paper's invariant (§2.1) — "a
-non-free, non-decision variable will always have an antecedent, and its
-decision level will always equal the highest decision level of the other
-variables in its antecedent clause" — is enforced by the solver and replayed
-by the checkers via this record.
+Tracks, per literal, its value, and per variable: decision level,
+antecedent clause ID, and the chronological position on the trail.
+
+Values are literal-indexed: ``values[lit]`` is the literal's own
+TRUE/FALSE/UNASSIGNED status, for either polarity. The list has ``2n + 1``
+slots — slot 0 is unused, ``1..n`` hold the positive literals and
+``n+1..2n`` the negative ones, reached through Python's negative indexing
+(``values[-v]`` is slot ``2n + 1 - v``). Reading a literal is then one
+subscript, which is what the solver's propagation loop does millions of
+times; writers keep both polarities in step.
+
+The paper's invariant (§2.1) — "a non-free, non-decision variable will
+always have an antecedent, and its decision level will always equal the
+highest decision level of the other variables in its antecedent clause" —
+is enforced by the solver and replayed by the checkers via this record.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ class Assignment:
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
         n = num_vars + 1  # 1-based variable indexing
-        self.values = [UNASSIGNED] * n
+        self.values = [UNASSIGNED] * (2 * num_vars + 1)  # literal-indexed
         self.levels = [-1] * n
         self.antecedents = [NO_ANTECEDENT] * n
         self.positions = [-1] * n  # index on the trail, for chronology
@@ -37,13 +46,8 @@ class Assignment:
         return len(self.level_limits)
 
     def value_of_lit(self, lit: int) -> int:
-        """TRUE/FALSE/UNASSIGNED status of a literal."""
-        value = self.values[abs(lit)]
-        if value == UNASSIGNED:
-            return UNASSIGNED
-        if lit > 0:
-            return value
-        return TRUE if value == FALSE else FALSE
+        """TRUE/FALSE/UNASSIGNED status of a literal (``1 <= |lit| <= n``)."""
+        return self.values[lit]
 
     def is_assigned(self, var: int) -> bool:
         return self.values[var] != UNASSIGNED
@@ -63,11 +67,14 @@ class Assignment:
 
     def assign(self, lit: int, antecedent: int = NO_ANTECEDENT) -> None:
         """Put a literal on the trail at the current decision level."""
-        var = abs(lit)
-        if self.values[var] != UNASSIGNED:
+        var = lit if lit > 0 else -lit
+        if not 0 < var <= self.num_vars:
+            raise ValueError(f"literal {lit} is outside variables 1..{self.num_vars}")
+        if self.values[lit] != UNASSIGNED:
             raise ValueError(f"variable {var} is already assigned")
-        self.values[var] = TRUE if lit > 0 else FALSE
-        self.levels[var] = self.decision_level
+        self.values[lit] = TRUE
+        self.values[-lit] = FALSE
+        self.levels[var] = len(self.level_limits)
         self.antecedents[var] = antecedent
         self.positions[var] = len(self.trail)
         self.trail.append(lit)
@@ -79,9 +86,10 @@ class Assignment:
         if level == self.decision_level:
             return
         keep = self.level_limits[level]
+        values = self.values
         for lit in self.trail[keep:]:
-            var = abs(lit)
-            self.values[var] = UNASSIGNED
+            values[lit] = values[-lit] = UNASSIGNED
+            var = lit if lit > 0 else -lit
             self.levels[var] = -1
             self.antecedents[var] = NO_ANTECEDENT
             self.positions[var] = -1
@@ -93,7 +101,12 @@ class Assignment:
         if num_vars <= self.num_vars:
             return
         extra = num_vars - self.num_vars
-        self.values.extend([UNASSIGNED] * extra)
+        # The negative half sits at the end of the list, so it has to move
+        # up: a plain extend would make values[-v] read the new padding.
+        split = self.num_vars + 1
+        self.values = (
+            self.values[:split] + [UNASSIGNED] * (2 * extra) + self.values[split:]
+        )
         self.levels.extend([-1] * extra)
         self.antecedents.extend([NO_ANTECEDENT] * extra)
         self.positions.extend([-1] * extra)

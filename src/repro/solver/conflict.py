@@ -56,55 +56,56 @@ def analyze_conflict(
 
     sources = [conflict_cid]
     seen: set[int] = set()
+    seen_add = seen.add
     lower_literals: list[int] = []  # false literals below the current level
+    lower_append = lower_literals.append
     counter = 0  # unresolved current-level literals
-
-    def absorb(literals: list[int], pivot_var: int | None) -> None:
-        nonlocal counter
-        for lit in literals:
-            var = abs(lit)
-            if var == pivot_var or var in seen:
-                continue
-            seen.add(var)
-            if bump_var is not None:
-                bump_var(var)
-            if assignment.levels[var] == current_level:
-                counter += 1
-            else:
-                lower_literals.append(lit)
-
-    if bump_clause is not None:
-        bump_clause(conflict_cid)
-    absorb(db.clause_literals(conflict_cid), None)
-    if counter == 0:
-        raise RuntimeError(
-            f"conflicting clause {conflict_cid} has no literal at the current "
-            "decision level; the BCP invariant is broken"
-        )
-
+    levels = assignment.levels
+    antecedents = assignment.antecedents
+    clause_lits = db.lits
     trail = assignment.trail
     index = len(trail) - 1
+    cid = conflict_cid
+    pivot_var = 0  # no pivot yet: the conflicting clause is absorbed whole
     while True:
+        # Absorb ``cid``: resolve it on ``pivot_var`` into the running clause.
+        if bump_clause is not None:
+            bump_clause(cid)
+        for lit in clause_lits[cid]:
+            var = lit if lit > 0 else -lit
+            if var == pivot_var or var in seen:
+                continue
+            seen_add(var)
+            if bump_var is not None:
+                bump_var(var)
+            if levels[var] == current_level:
+                counter += 1
+            else:
+                lower_append(lit)
+        if counter == 0:
+            raise RuntimeError(
+                f"conflicting clause {conflict_cid} has no literal at the current "
+                "decision level; the BCP invariant is broken"
+            )
+
         # choose_literal: the current-level literal assigned last.
-        while abs(trail[index]) not in seen or assignment.levels[abs(trail[index])] != current_level:
+        while True:
+            pivot_lit = trail[index]
             index -= 1
-        pivot_lit = trail[index]
-        pivot_var = abs(pivot_lit)
-        index -= 1
+            pivot_var = pivot_lit if pivot_lit > 0 else -pivot_lit
+            if pivot_var in seen and levels[pivot_var] == current_level:
+                break
         if counter == 1:
             asserting_literal = -pivot_lit
             break
-        antecedent = assignment.antecedents[pivot_var]
-        if antecedent == 0:
+        cid = antecedents[pivot_var]
+        if cid == 0:
             raise RuntimeError(
                 f"variable {pivot_var} at level {current_level} has no "
                 "antecedent but is not the last current-level literal"
             )
-        sources.append(antecedent)
-        if bump_clause is not None:
-            bump_clause(antecedent)
+        sources.append(cid)
         counter -= 1
-        absorb(db.clause_literals(antecedent), pivot_var)
 
     if minimize and lower_literals:
         _minimize_lower_literals(
@@ -114,7 +115,7 @@ def analyze_conflict(
     backtrack_level = 0
     watch_literal_index = -1
     for i, lit in enumerate(lower_literals):
-        level = assignment.levels[abs(lit)]
+        level = levels[lit if lit > 0 else -lit]
         if level > backtrack_level:
             backtrack_level = level
             watch_literal_index = i

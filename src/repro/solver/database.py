@@ -18,16 +18,15 @@ from typing import Iterable
 from repro.cnf import CnfFormula
 
 
-def _watch_index(lit: int) -> int:
-    """Map a literal to its slot in the watch array (2v / 2v+1)."""
-    return 2 * lit if lit > 0 else -2 * lit + 1
-
-
 class ClauseDatabase:
     """Mutable clause store for the solver.
 
     Literal lists are reordered in place so positions 0 and 1 always hold
     the watched literals (for clauses of length >= 2).
+
+    ``watches`` is literal-indexed like :attr:`repro.cnf.Assignment.values`:
+    ``watches[lit]`` lists the clauses watching ``lit``, with negative
+    literals reached through negative indexing (slot 0 is unused).
     """
 
     def __init__(self, num_vars: int):
@@ -35,7 +34,7 @@ class ClauseDatabase:
         self.lits: dict[int, list[int]] = {}  # cid -> literal list
         self.learned_ids: set[int] = set()
         self.activity: dict[int, float] = {}  # learned cid -> activity
-        self.watches: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
+        self.watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
         self.next_cid = 1
         self.num_original = 0
         # Learned clauses that must never be deleted: preprocessing
@@ -91,13 +90,13 @@ class ClauseDatabase:
 
     def _attach(self, cid: int) -> None:
         lits = self.lits[cid]
-        self.watches[_watch_index(lits[0])].append(cid)
-        self.watches[_watch_index(lits[1])].append(cid)
+        self.watches[lits[0]].append(cid)
+        self.watches[lits[1]].append(cid)
 
     def _detach(self, cid: int) -> None:
         lits = self.lits[cid]
         for lit in lits[:2]:
-            self.watches[_watch_index(lit)].remove(cid)
+            self.watches[lit].remove(cid)
 
     # -- queries -----------------------------------------------------------
 
@@ -115,7 +114,7 @@ class ClauseDatabase:
         return len(self.learned_ids)
 
     def watchers_of(self, lit: int) -> list[int]:
-        return self.watches[_watch_index(lit)]
+        return self.watches[lit]
 
     # -- learned clause activity / deletion ---------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 
 from repro.cnf import Assignment, CnfFormula, FALSE, TRUE, UNASSIGNED
+from repro.cnf.assignment import NO_ANTECEDENT
 from repro.solver.config import SolverConfig
 from repro.solver.conflict import analyze_conflict
 from repro.solver.database import ClauseDatabase
@@ -182,52 +183,75 @@ class Solver:
     # -- BCP ----------------------------------------------------------------
 
     def _propagate(self) -> int | None:
-        """Boolean constraint propagation; returns a conflicting clause ID."""
+        """Boolean constraint propagation; returns a conflicting clause ID.
+
+        This is the solver's hot loop, so everything it touches is hoisted
+        into locals: literal values are read by subscript from the
+        literal-indexed ``Assignment.values``, watch lists come straight
+        from ``ClauseDatabase.watches``, and implied literals are assigned
+        inline with the same writes ``Assignment.assign`` makes.
+        """
         assignment = self.assignment
-        db = self.db
-        while self._qhead < len(assignment.trail):
-            lit = assignment.trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
-            false_lit = -lit
-            watchers = db.watchers_of(false_lit)
+        values = assignment.values
+        trail = assignment.trail
+        levels = assignment.levels
+        antecedents = assignment.antecedents
+        positions = assignment.positions
+        level = len(assignment.level_limits)
+        watches = self.db.watches
+        clause_lits = self.db.lits
+        qhead = self._qhead
+        propagations = 0
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            propagations += 1
+            watchers = watches[false_lit]
             i = j = 0
             n = len(watchers)
-            conflict: int | None = None
             while i < n:
                 cid = watchers[i]
                 i += 1
-                lits = db.lits[cid]
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
+                lits = clause_lits[cid]
                 first = lits[0]
-                value = assignment.value_of_lit(first)
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                value = values[first]
                 if value == TRUE:
                     watchers[j] = cid
                     j += 1
                     continue
                 for k in range(2, len(lits)):
-                    if assignment.value_of_lit(lits[k]) != FALSE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        db.watchers_of(lits[1]).append(cid)
+                    other = lits[k]
+                    if values[other] != FALSE:
+                        lits[k] = lits[1]
+                        lits[1] = other
+                        watches[other].append(cid)
                         break
                 else:
                     watchers[j] = cid
                     j += 1
-                    if value == FALSE:
-                        conflict = cid
-                        while i < n:  # keep the untouched tail of the list
-                            watchers[j] = watchers[i]
-                            j += 1
-                            i += 1
-                    else:
-                        assignment.assign(first, antecedent=cid)
-                if conflict is not None:
-                    break
+                    if value == UNASSIGNED:
+                        # The clause is unit: imply its first literal.
+                        var = first if first > 0 else -first
+                        values[first] = TRUE
+                        values[-first] = FALSE
+                        levels[var] = level
+                        antecedents[var] = cid
+                        positions[var] = len(trail)
+                        trail.append(first)
+                        continue
+                    # Every literal is false. Close the gap left by moved
+                    # watches and keep the unvisited tail of the list.
+                    del watchers[j:i]
+                    self._qhead = len(trail)
+                    self.stats.propagations += propagations
+                    return cid
             del watchers[j:]
-            if conflict is not None:
-                self._qhead = len(assignment.trail)
-                return conflict
+        self._qhead = qhead
+        self.stats.propagations += propagations
         return None
 
     # -- setup / teardown helpers -------------------------------------------
@@ -292,15 +316,30 @@ class Solver:
         return self._propagate()
 
     def _backtrack_to(self, level: int) -> None:
+        """Undo the trail above ``level`` in one pass: each literal's phase
+        is saved and its variable requeued as its assignment is cleared."""
         assignment = self.assignment
         if level >= assignment.decision_level:
             return
         keep = assignment.level_limits[level]
-        for lit in assignment.trail[keep:]:
-            self.vsids.save_phase(lit)
-            self.vsids.requeue(abs(lit))
-        assignment.backtrack(level)
-        self._qhead = len(assignment.trail)
+        trail = assignment.trail
+        values = assignment.values
+        levels = assignment.levels
+        antecedents = assignment.antecedents
+        positions = assignment.positions
+        save_phase = self.vsids.save_phase
+        requeue = self.vsids.requeue
+        for lit in trail[keep:]:
+            save_phase(lit)
+            var = lit if lit > 0 else -lit
+            requeue(var)
+            values[lit] = values[-lit] = UNASSIGNED
+            levels[var] = -1
+            antecedents[var] = NO_ANTECEDENT
+            positions[var] = -1
+        del trail[keep:]
+        del assignment.level_limits[level:]
+        self._qhead = keep
 
     def _reduce_learned(self) -> None:
         locked = {

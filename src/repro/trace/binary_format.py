@@ -122,16 +122,23 @@ class BinaryTraceWriter:
         )
 
     def learned_clause(self, cid: int, sources: list[int] | tuple[int, ...]) -> None:
-        parts = [bytes([_TAG_LEARNED]), encode_varint(cid), encode_varint(len(sources))]
+        out = bytearray((_TAG_LEARNED,))
+        out += encode_varint(cid)
+        out += encode_varint(len(sources))
+        append = out.append
         for src in sources:
             # Sources always precede the learned clause, so cid - src > 0.
             delta = cid - src
-            if delta <= 0:
-                raise TraceError(
-                    f"learned clause {cid} lists source {src} with id >= its own"
-                )
-            parts.append(encode_varint(delta))
-        self._handle.write(b"".join(parts))
+            if delta < 0x80:
+                # Most deltas fit one varint byte: write it without a call.
+                if delta <= 0:
+                    raise TraceError(
+                        f"learned clause {cid} lists source {src} with id >= its own"
+                    )
+                append(delta)
+            else:
+                out += encode_varint(delta)
+        self._handle.write(out)
 
     def clause_deletion(self, cid: int) -> None:
         self._handle.write(bytes([_TAG_DELETION]) + encode_varint(cid))

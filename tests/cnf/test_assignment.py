@@ -99,3 +99,60 @@ def test_grow_preserves_state():
     assert asg.value_of_lit(5) == TRUE
     asg.grow(3)  # shrink request is ignored
     assert asg.num_vars == 5
+
+
+def test_values_are_literal_indexed():
+    asg = Assignment(3)
+    assert len(asg.values) == 2 * 3 + 1
+    asg.assign(-2)
+    asg.assign(3)
+    assert asg.values[-2] == TRUE and asg.values[2] == FALSE
+    assert asg.values[3] == TRUE and asg.values[-3] == FALSE
+
+
+def test_value_of_lit_unassigned_in_both_polarities():
+    asg = Assignment(3)
+    asg.assign(2)
+    for var in (1, 3):
+        assert asg.value_of_lit(var) == UNASSIGNED
+        assert asg.value_of_lit(-var) == UNASSIGNED
+
+
+def test_backtrack_clears_both_halves():
+    asg = Assignment(4)
+    asg.assign(1)
+    asg.new_decision_level()
+    asg.assign(-2)
+    asg.assign(4)
+    asg.backtrack(0)
+    for var in (2, 4):
+        assert asg.value_of_lit(var) == UNASSIGNED
+        assert asg.value_of_lit(-var) == UNASSIGNED
+    assert asg.value_of_lit(1) == TRUE and asg.value_of_lit(-1) == FALSE
+    assert asg.values.count(UNASSIGNED) == len(asg.values) - 2
+
+
+def test_grow_moves_the_negative_half():
+    asg = Assignment(3)
+    asg.assign(-1)
+    asg.assign(3)
+    asg.grow(6)
+    assert len(asg.values) == 2 * 6 + 1
+    assert asg.value_of_lit(-1) == TRUE and asg.value_of_lit(1) == FALSE
+    assert asg.value_of_lit(3) == TRUE and asg.value_of_lit(-3) == FALSE
+    for var in (2, 4, 5, 6):
+        assert asg.value_of_lit(var) == UNASSIGNED
+        assert asg.value_of_lit(-var) == UNASSIGNED
+    asg.assign(-6)
+    assert asg.value_of_lit(-6) == TRUE and asg.value_of_lit(6) == FALSE
+    assert asg.value_of_lit(-1) == TRUE  # the new variable did not alias -1
+    asg.backtrack(0)  # level 0: nothing to undo
+    assert asg.num_assigned() == 3
+
+
+def test_assign_rejects_out_of_range_literal():
+    asg = Assignment(3)
+    for lit in (0, 4, -4):
+        with pytest.raises(ValueError):
+            asg.assign(lit)
+    assert asg.values.count(UNASSIGNED) == len(asg.values)

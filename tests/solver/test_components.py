@@ -36,6 +36,15 @@ class TestClauseDatabase:
         assert cid in db.watchers_of(-2)
         assert cid not in db.watchers_of(3)
 
+    def test_watches_are_literal_indexed(self):
+        db = ClauseDatabase(4)
+        cid = db.add_original([-4, 1])
+        assert len(db.watches) == 2 * 4 + 1
+        assert db.watches[-4] is db.watchers_of(-4) == [cid]
+        assert db.watches[1] is db.watchers_of(1) == [cid]
+        # Opposite polarities of one variable never share a list.
+        assert db.watchers_of(4) == [] and db.watchers_of(-1) == []
+
     def test_learned_ids_continue_numbering(self):
         db = ClauseDatabase(3)
         db.add_original([1, 2])
