@@ -11,7 +11,12 @@ ways in both encodings, and gates:
 * **speed** — backward wall time is at most ``TIME_RATIO`` x forward on
   the same artifact (skipping work must actually be cheaper);
 * **parity** — both encodings and both modes agree the proof verifies,
-  and the two encodings' step streams are identical.
+  and the two encodings' step streams are identical;
+* **scaling** (full runs only) — forward time on the full fixture over
+  forward time on the quick one is at most ``MAX_FORWARD_SCALING``. The
+  full fixture has ~15x the lemmas; a per-lemma cost that grows with the
+  database (re-propagating every unit for each lemma) reads far above
+  that, and a ratio of two runs on one host does not depend on the host.
 
 Usage:
 
@@ -49,6 +54,11 @@ QUICK_TIME_RATIO = 1.5
 FULL_SHAPE = (400, 4000, 200)
 QUICK_SHAPE = (30, 300, 15)
 
+#: Forward time on FULL_SHAPE over forward time on QUICK_SHAPE, each the
+#: minimum of FORWARD_REPEATS runs on the binary encoding.
+MAX_FORWARD_SCALING = 60
+FORWARD_REPEATS = 3
+
 
 def run_one(formula: CnfFormula, proof: str, backward: bool) -> tuple[float, dict]:
     start = time.perf_counter()
@@ -58,6 +68,17 @@ def run_one(formula: CnfFormula, proof: str, backward: bool) -> tuple[float, dic
         mode = "backward" if backward else "forward"
         raise SystemExit(f"{mode} check failed on {proof}: {report.failure}")
     return elapsed, report
+
+
+def min_forward_s(shape: tuple[int, int, int], tmp_dir: str) -> float:
+    """Best-of-FORWARD_REPEATS forward time on a fresh ``shape`` fixture."""
+    core, dead, rat = shape
+    inst = generate(core=core, dead=dead, rat=rat)
+    formula = CnfFormula(inst.num_vars, [list(c) for c in inst.clauses])
+    path = os.path.join(tmp_dir, f"scaling-{core}-{dead}-{rat}.drat")
+    inst.write_proof(path, "binary")
+    return min(run_one(formula, path, backward=False)[0]
+               for _ in range(FORWARD_REPEATS))
 
 
 def main(argv=None) -> int:
@@ -74,6 +95,7 @@ def main(argv=None) -> int:
 
     failures = []
     rows = []
+    scaling = None
     with tempfile.TemporaryDirectory(prefix="bench-drat-") as tmp_dir:
         proofs = {}
         for fmt in ("text", "binary"):
@@ -117,6 +139,20 @@ def main(argv=None) -> int:
                     f"(gate: <= {time_ratio}x)"
                 )
 
+        if not args.quick:
+            quick_s = min_forward_s(QUICK_SHAPE, tmp_dir)
+            full_s = min_forward_s(FULL_SHAPE, tmp_dir)
+            scaling = {"quick_forward_s": round(quick_s, 4),
+                       "full_forward_s": round(full_s, 4),
+                       "ratio": round(full_s / quick_s, 1)}
+            print(f"== scaling: fwd full {full_s:.3f}s / quick {quick_s:.4f}s "
+                  f"= x{scaling['ratio']}")
+            if full_s > MAX_FORWARD_SCALING * quick_s:
+                failures.append(
+                    f"forward scaling: full took {scaling['ratio']}x quick "
+                    f"(gate: <= {MAX_FORWARD_SCALING}x)"
+                )
+
     if not args.quick:
         payload = {
             "benchmark": "DRAT forward vs backward checking",
@@ -125,8 +161,10 @@ def main(argv=None) -> int:
                         "num_clauses": len(inst.clauses),
                         "adds": inst.num_adds},
             "gates": {"min_skip_fraction": MIN_SKIP_FRACTION,
-                      "time_ratio": time_ratio},
+                      "time_ratio": time_ratio,
+                      "max_forward_scaling": MAX_FORWARD_SCALING},
             "rows": rows,
+            "forward_scaling": scaling,
             "failures": failures,
         }
         out = Path(args.out)

@@ -46,7 +46,6 @@ from repro.checker.kernel import (
     KernelEngine,
     ReferenceEngine,
     ResolutionKernel,
-    SignedCounters,
     make_engine,
 )
 from repro.checker.store import ClauseStore
@@ -88,7 +87,6 @@ __all__ = [
     "KernelEngine",
     "ReferenceEngine",
     "make_engine",
-    "SignedCounters",
     "check_model",
     "run_precheck",
     "DepthFirstChecker",

@@ -23,7 +23,6 @@ from typing import IO, Iterable, Iterator, Sequence
 from repro.checker.errors import CheckFailure, FailureKind
 from repro.checker.memory import Deadline
 from repro.checker.report import CheckReport
-from repro.checker.store import ClauseStore
 from repro.checker.unitprop import UnitPropagator
 from repro.cnf import CnfFormula
 from repro.proofs.parser import iter_proof_steps, read_proof
@@ -144,7 +143,7 @@ class RupChecker:
         return doc.steps, self._plan.skip_ordinals
 
     def _run(self) -> tuple[bool, int]:
-        engine = UnitPropagator(self.formula.num_vars, store=ClauseStore())
+        engine = UnitPropagator(self.formula.num_vars)
         index_of: dict[tuple[int, ...], list[int]] = {}
         for clause in self.formula:
             index = engine.add_clause(clause.literals)

@@ -6,8 +6,8 @@ clause C is RAT on its first literal p iff for every clause D in the
 current database containing -p, the resolvent (C \\ {p}) ∪ (D \\ {-p}) is
 a tautology or RUP. Every RUP clause is trivially RAT, so the checker
 tries the cheap RUP check first and only then enumerates resolution
-partners through the propagator's literal-occurrence index — the same
-strategy (and deletion semantics) as drat-trim.
+partners by scanning the live database — the same strategy (and deletion
+semantics) as drat-trim.
 
 Two modes:
 
@@ -40,7 +40,6 @@ from repro import faults
 from repro.checker.errors import CheckFailure, FailureKind
 from repro.checker.memory import Deadline
 from repro.checker.report import CheckReport
-from repro.checker.store import ClauseStore
 from repro.checker.unitprop import UnitPropagator
 from repro.cnf import CnfFormula
 from repro.proofs.parser import iter_proof_steps, read_proof
@@ -127,7 +126,7 @@ class DratChecker:
     # -- shared pieces --------------------------------------------------------
 
     def _setup(self) -> tuple[UnitPropagator, dict[tuple[int, ...], list[int]]]:
-        engine = UnitPropagator(self.formula.num_vars, store=ClauseStore())
+        engine = UnitPropagator(self.formula.num_vars)
         index_of: dict[tuple[int, ...], list[int]] = {}
         for clause in self.formula:
             index = engine.add_clause(clause.literals)
@@ -159,10 +158,8 @@ class DratChecker:
         c_set = set(unique)
         negated_rest = [-lit for lit in unique if lit != pivot]
         resolvents = 0
-        for index in list(engine.occurrences(-pivot)):
+        for index in engine.occurrences(-pivot):
             clause = engine.clauses[index]
-            if clause is None:
-                continue
             # Tautological resolvent: some m in D \ {-p} clashes with C.
             if any(m != -pivot and -m in c_set for m in clause):
                 continue
@@ -357,10 +354,8 @@ class DratChecker:
         c_set = set(unique)
         negated_rest = [-lit for lit in unique if lit != pivot]
         resolvents = 0
-        for index in list(engine.occurrences(-pivot)):
+        for index in engine.occurrences(-pivot):
             clause = engine.clauses[index]
-            if clause is None:
-                continue
             if any(m != -pivot and -m in c_set for m in clause):
                 continue
             resolvents += 1

@@ -19,7 +19,6 @@ from repro.checker.kernel import (
     KernelEngine,
     ReferenceEngine,
     ResolutionKernel,
-    SignedCounters,
     make_engine,
 )
 from repro.checker.resolution import ResolutionError, resolve, resolve_chain
@@ -253,16 +252,3 @@ def test_engine_original_rejects_unknown_cid():
     engine = KernelEngine(_tiny_formula())
     with pytest.raises(CheckFailure):
         engine.original(17)
-
-
-# -- the signed-counter buffer ----------------------------------------------
-
-
-def test_signed_counters_reset_by_generation():
-    counters = SignedCounters(num_vars=3)
-    gen = counters.new_generation()
-    counters.marks[2] = gen
-    assert counters.marks[2] == gen
-    assert counters.new_generation() == gen + 1  # old stamps now stale
-    counters.ensure(10)
-    assert len(counters.marks) >= 11

@@ -1,6 +1,8 @@
 """Unit tests for the RUP machinery: propagation engine, DRUP parsing, checker."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cnf import CnfFormula
 from repro.checker import DrupWriter, RupChecker
@@ -55,6 +57,140 @@ class TestUnitPropagator:
         engine = UnitPropagator(2)
         engine.add_clause([5])
         assert engine.num_vars == 5
+
+    def test_removing_a_level0_reason_undoes_its_consequences(self):
+        engine = UnitPropagator(3)
+        unit = engine.add_clause([1])
+        engine.add_clause([-1, 2])
+        engine.add_clause([-2, 3])
+        assert engine.propagate([-3])
+        engine.remove_clause(unit)
+        assert not engine.propagate([-3])
+        engine.add_clause([1])
+        assert engine.propagate([-3])
+
+    def test_duplicate_unit_survives_removal_of_its_twin(self):
+        engine = UnitPropagator(2)
+        first = engine.add_clause([1])
+        engine.add_clause([1])
+        engine.add_clause([-1, 2])
+        engine.remove_clause(first)
+        assert engine.propagate([-2])
+
+    def test_removal_re_derives_through_an_alternative_reason(self):
+        engine = UnitPropagator(3)
+        engine.add_clause([1])
+        reason = engine.add_clause([-1, 2])
+        engine.add_clause([-1, 3, 2])
+        engine.add_clause([-3])
+        engine.remove_clause(reason)
+        # (-1 3 2) with x1 true and x3 false still implies x2.
+        assert engine.propagate([-2])
+
+    def test_truncation_re_derives_literals_whose_reason_survives(self):
+        engine = UnitPropagator(5)
+        engine.add_clause([1])
+        unit = engine.add_clause([2])
+        engine.add_clause([-1, 3])  # x3 lands on the trail after x2
+        engine.add_clause([-3, -5, 4])
+        engine.add_clause([-3, -5, -4])
+        engine.remove_clause(unit)  # undoes x2 and, with it, x3
+        # x3 must come back: only with it does x5 refute the database.
+        assert engine.propagate([5])
+
+    def test_level0_conflict_outlives_unrelated_removals(self):
+        engine = UnitPropagator(3)
+        unrelated = engine.add_clause([2, 3])
+        unit = engine.add_clause([1])
+        engine.add_clause([-1])
+        engine.remove_clause(unrelated)
+        assert engine.propagate_tracked([]) == (True, [1, 2])
+        engine.remove_clause(unit)
+        assert not engine.propagate([])
+        assert engine.propagate([1])
+
+    def test_tracked_cone_of_a_level0_conflict(self):
+        engine = UnitPropagator(3)
+        engine.add_clause([1, 2])
+        engine.add_clause([-1])
+        engine.add_clause([-2, 3])
+        engine.add_clause([-3])
+        assert engine.propagate_tracked([]) == (True, [0, 1, 2, 3])
+
+
+def _fixpoint_conflict(clauses, assumptions) -> bool:
+    """Naive unit propagation to a fixpoint: the differential oracle."""
+    true: set[int] = set()
+    for lit in assumptions:
+        if -lit in true:
+            return True
+        true.add(lit)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(lit in true for lit in clause):
+                continue
+            free = {lit for lit in clause if -lit not in true}
+            if not free:
+                return True
+            if len(free) == 1:
+                true.add(free.pop())
+                changed = True
+    return False
+
+
+#: Variables 1..6 against a declared header of 3, so literals beyond
+#: ``num_vars`` appear in both clauses and assumptions.
+DECLARED_VARS = 3
+_lits = st.integers(min_value=-6, max_value=6).filter(bool)
+# Short clauses with duplicate literals and tautologies; units and binaries
+# are common, so level-0 reasons are frequently the clause removed. Empty
+# clauses are kept rare: each one refutes level 0 until it is removed.
+_clauses = st.integers(min_value=0, max_value=9).flatmap(
+    lambda k: st.just([]) if k == 0 else st.lists(_lits, min_size=1, max_size=4)
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _clauses),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=40)),
+        st.tuples(
+            st.sampled_from(["propagate", "propagate_tracked"]),
+            st.lists(_lits, max_size=3),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestUnitPropagatorDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(_ops)
+    def test_interleavings_match_the_fixpoint_oracle(self, ops):
+        engine = UnitPropagator(DECLARED_VARS)
+        live: dict[int, list[int]] = {}
+        for op, arg in ops:
+            if op == "add":
+                live[engine.add_clause(arg)] = list(arg)
+            elif op == "remove":
+                if engine.clauses:
+                    # Any slot, live or already removed (a no-op).
+                    index = arg % len(engine.clauses)
+                    engine.remove_clause(index)
+                    live.pop(index, None)
+            else:
+                expected = _fixpoint_conflict(live.values(), arg)
+                if op == "propagate":
+                    assert engine.propagate(arg) == expected
+                    continue
+                conflict, used = engine.propagate_tracked(arg)
+                assert conflict == expected
+                if conflict:
+                    assert set(used) <= set(live)
+                    cone = [live[index] for index in used]
+                    assert _fixpoint_conflict(cone, arg)
+                else:
+                    assert used == []
 
 
 class TestDrupFormat:

@@ -4,6 +4,10 @@ solve --drup-format, and the validation errors between them."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +115,38 @@ def test_solve_drup_format_end_to_end(tmp_path, fmt):
     # Both clausal checkers accept the solver's proof in either encoding.
     assert check_main([str(cnf), str(proof), "--method", "drat"]) == 0
     assert check_main([str(cnf), str(proof), "--method", "rup"]) == 0
+
+
+#: A 30-byte formula whose header claims two billion variables.
+HEADER_BOMB = "p cnf 2000000000 2\n1 0\n-1 0\n"
+
+#: Runs ``check_main`` on argv under a 1 GiB address-space limit, so any
+#: allocation sized from the header fails with MemoryError.
+_LIMITED_CHECK = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from repro.cli import check_main
+sys.exit(check_main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "drat"],
+    ["--method", "drat", "--backward"],
+    ["--method", "rup"],
+])
+def test_header_variable_count_does_not_size_clausal_checkers(tmp_path, flags):
+    pytest.importorskip("resource")
+    cnf = tmp_path / "bomb.cnf"
+    cnf.write_text(HEADER_BOMB)
+    proof = tmp_path / "bomb.drat"
+    proof.write_text("0\n")
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CHECK, str(cnf), str(proof),
+         *flags, "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["verified"] is True
