@@ -4,9 +4,12 @@ Speed work on the solver's inner loop must not change the search. This
 test pins SHA-256 digests of everything a solve writes — the binary and
 ASCII resolution traces and the binary DRUP proof — plus the search
 counters, for every small ``default_suite`` instance and two pigeonhole
-instances, under four configurations. The ``reduce`` configuration sets
+instances, under eight configurations. The ``reduce`` configuration sets
 the learned-clause cap so low that ``reduce_learned`` runs, which puts
-deletion records in both the traces and the proofs.
+deletion records in both the traces and the proofs. ``vsids_random``
+mixes seeded random decisions into VSIDS, and ``static``, ``random`` and
+``jeroslow_wang`` pin the alternative decision heuristics, so a change to
+the shared heuristic protocol is held to the same bytes.
 
 The digests live in ``golden_output.json`` next to this file. Regenerate
 them only for a change that is *meant* to alter the search::
@@ -38,6 +41,10 @@ CONFIGS = {
     "minimize": SolverConfig(minimize_learned=True),
     "luby": SolverConfig(restart_policy="luby"),
     "reduce": SolverConfig(min_learned_cap=10, max_learned_factor=0.0),
+    "vsids_random": SolverConfig(random_decision_freq=0.1, seed=5),
+    "static": SolverConfig(decision_heuristic="static"),
+    "random": SolverConfig(decision_heuristic="random", seed=3),
+    "jeroslow_wang": SolverConfig(decision_heuristic="jeroslow-wang"),
 }
 
 
