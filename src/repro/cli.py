@@ -21,10 +21,23 @@ from repro.checker import (
     RupChecker,
     check_model,
 )
-from repro.cnf import parse_dimacs_file
+from repro.cnf import CnfFormula, DimacsError, parse_dimacs_file
 from repro.core_extract import iterate_core
 from repro.solver import Solver, SolverConfig
 from repro.trace import load_trace, open_trace_writer
+
+
+def _read_cnf(path: str) -> CnfFormula | None:
+    """Parse a DIMACS file, or print ``repro: <path>: <message>`` to stderr
+    and return None; callers then exit 2, the usage/input error code."""
+    try:
+        return parse_dimacs_file(path)
+    except (DimacsError, UnicodeDecodeError) as exc:
+        message = str(exc)
+    except OSError as exc:
+        message = exc.strerror or str(exc)
+    print(f"repro: {path}: {message}", file=sys.stderr)
+    return None
 
 
 def solve_main(argv: list[str] | None = None) -> int:
@@ -51,7 +64,9 @@ def solve_main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    formula = parse_dimacs_file(args.cnf)
+    formula = _read_cnf(args.cnf)
+    if formula is None:
+        return 2
     validate_writer = None
     if args.validate and not args.trace:
         from repro.trace import InMemoryTraceWriter
@@ -426,7 +441,9 @@ def check_main(argv: list[str] | None = None) -> int:
         # nonstandard threshold must not populate shared cache lines.
         parser.error("--cache does not combine with --streaming-threshold")
 
-    formula = parse_dimacs_file(args.cnf)
+    formula = _read_cnf(args.cnf)
+    if formula is None:
+        return 2
     use_kernel = args.engine == "kernel"
     if args.cache:
         from repro.service import ServiceClient, VerdictCache
@@ -656,7 +673,9 @@ def trim_main(argv: list[str] | None = None) -> int:
 
     from repro.trace import load_trace, write_trimmed
 
-    formula = parse_dimacs_file(args.cnf)
+    formula = _read_cnf(args.cnf)
+    if formula is None:
+        return 2
     result = write_trimmed(
         formula, load_trace(args.trace), args.output, fmt=args.format,
         verify=args.verify,
@@ -1192,7 +1211,9 @@ def core_main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    formula = parse_dimacs_file(args.cnf)
+    formula = _read_cnf(args.cnf)
+    if formula is None:
+        return 2
     config = SolverConfig(seed=args.seed)
     outcome = iterate_core(formula, max_iterations=args.iterations, config=config)
     for index, (clauses, variables) in enumerate(outcome.iterations):

@@ -34,14 +34,16 @@ def analyze_conflict(
     conflict_cid: int,
     db: ClauseDatabase,
     assignment: Assignment,
-    bump_var=None,
+    bump_vars=None,
     bump_clause=None,
     minimize: bool = False,
 ) -> AnalysisResult:
     """Run 1-UIP analysis. The caller guarantees decision level > 0.
 
-    ``bump_var`` / ``bump_clause`` are optional callbacks for the decision
-    heuristic and clause-activity bookkeeping.
+    ``bump_vars`` / ``bump_clause`` are optional callbacks for the decision
+    heuristic and clause-activity bookkeeping. ``bump_vars`` is called once,
+    after the first UIP is found, with every variable the analysis met in
+    the order it met them; ``bump_clause`` is called per absorbed clause.
 
     ``minimize`` enables self-subsumption minimization: a lower-level
     literal is dropped when resolving with its variable's antecedent
@@ -55,8 +57,7 @@ def analyze_conflict(
         raise ValueError("analyze_conflict requires decision level > 0")
 
     sources = [conflict_cid]
-    seen: set[int] = set()
-    seen_add = seen.add
+    seen: dict[int, None] = {}  # variables met, in the order met
     lower_literals: list[int] = []  # false literals below the current level
     lower_append = lower_literals.append
     counter = 0  # unresolved current-level literals
@@ -75,9 +76,7 @@ def analyze_conflict(
             var = lit if lit > 0 else -lit
             if var == pivot_var or var in seen:
                 continue
-            seen_add(var)
-            if bump_var is not None:
-                bump_var(var)
+            seen[var] = None
             if levels[var] == current_level:
                 counter += 1
             else:
@@ -107,6 +106,8 @@ def analyze_conflict(
         sources.append(cid)
         counter -= 1
 
+    if bump_vars is not None:
+        bump_vars(seen)
     if minimize and lower_literals:
         _minimize_lower_literals(
             lower_literals, sources, db, assignment, bump_clause

@@ -26,7 +26,14 @@ class ClauseDatabase:
 
     ``watches`` is literal-indexed like :attr:`repro.cnf.Assignment.values`:
     ``watches[lit]`` lists the clauses watching ``lit``, with negative
-    literals reached through negative indexing (slot 0 is unused).
+    literals reached through negative indexing (slot 0 is unused). Each
+    entry is a ``(cid, literals)`` pair whose literal list *is*
+    ``lits[cid]``, so propagation reaches a clause's literals without a
+    dictionary lookup.
+
+    ``num_vars`` sizes the watch lists. :meth:`from_formula` passes the
+    largest variable a clause uses, never the header's declared count, so
+    a header that over-declares costs no memory.
     """
 
     def __init__(self, num_vars: int):
@@ -34,7 +41,9 @@ class ClauseDatabase:
         self.lits: dict[int, list[int]] = {}  # cid -> literal list
         self.learned_ids: set[int] = set()
         self.activity: dict[int, float] = {}  # learned cid -> activity
-        self.watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
+        self.watches: list[list[tuple[int, list[int]]]] = [
+            [] for _ in range(2 * num_vars + 1)
+        ]
         self.next_cid = 1
         self.num_original = 0
         # Learned clauses that must never be deleted: preprocessing
@@ -49,7 +58,8 @@ class ClauseDatabase:
 
     @classmethod
     def from_formula(cls, formula: CnfFormula) -> "ClauseDatabase":
-        db = cls(formula.num_vars)
+        used = max((max(map(abs, c.literals)) for c in formula if c.literals), default=0)
+        db = cls(used)
         for clause in formula:
             db.add_original(list(clause.literals))
         return db
@@ -90,13 +100,15 @@ class ClauseDatabase:
 
     def _attach(self, cid: int) -> None:
         lits = self.lits[cid]
-        self.watches[lits[0]].append(cid)
-        self.watches[lits[1]].append(cid)
+        entry = (cid, lits)
+        self.watches[lits[0]].append(entry)
+        self.watches[lits[1]].append(entry)
 
     def _detach(self, cid: int) -> None:
         lits = self.lits[cid]
+        entry = (cid, lits)  # equal to the attached entry: same cid, same list
         for lit in lits[:2]:
-            self.watches[lit].remove(cid)
+            self.watches[lit].remove(entry)
 
     # -- queries -----------------------------------------------------------
 
@@ -113,7 +125,7 @@ class ClauseDatabase:
     def num_learned(self) -> int:
         return len(self.learned_ids)
 
-    def watchers_of(self, lit: int) -> list[int]:
+    def watchers_of(self, lit: int) -> list[tuple[int, list[int]]]:
         return self.watches[lit]
 
     # -- learned clause activity / deletion ---------------------------------

@@ -2,28 +2,31 @@
 
 Chaff's VSIDS was the paper's era-defining heuristic; these baselines
 (static order, Jeroslow-Wang, uniform random) exist so the benchmark
-harness can quantify what it buys. All expose the same surface as
-:class:`repro.solver.vsids.VsidsHeuristic`: ``bump``, ``decay``,
-``save_phase``, ``requeue``, ``pick_branch``.
+harness can quantify what it buys. All expose the surface the solver
+drives :class:`repro.solver.vsids.VsidsHeuristic` through: ``bump_all``,
+``decay``, ``save_phase``, ``unassign``, ``pick_branch`` and the
+``phase`` and ``banned`` attributes. The solver makes one ``bump_all``
+call per conflict analysis and one ``unassign`` call per backtrack.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from repro.cnf import Assignment
 from repro.solver.vsids import VsidsHeuristic
 
 
-class StaticOrderHeuristic:
-    """Branch on the lowest-numbered free variable (DLL's original order)."""
+class _ActivityFreeHeuristic:
+    """Shared no-op activity bookkeeping and plain phase saving."""
 
     def __init__(self, num_vars: int, default_phase: bool = False):
         self.num_vars = num_vars
         self.phase = [default_phase] * (num_vars + 1)
         self.banned: set[int] = set()
 
-    def bump(self, var: int) -> None:
+    def bump_all(self, variables: Iterable[int]) -> None:
         pass
 
     def decay(self) -> None:
@@ -32,8 +35,13 @@ class StaticOrderHeuristic:
     def save_phase(self, lit: int) -> None:
         self.phase[abs(lit)] = lit > 0
 
-    def requeue(self, var: int) -> None:
-        pass
+    def unassign(self, lits: Iterable[int]) -> None:
+        for lit in lits:
+            self.save_phase(lit)
+
+
+class StaticOrderHeuristic(_ActivityFreeHeuristic):
+    """Branch on the lowest-numbered free variable (DLL's original order)."""
 
     def pick_branch(self, assignment: Assignment) -> int | None:
         for var in range(1, self.num_vars + 1):
@@ -42,26 +50,12 @@ class StaticOrderHeuristic:
         return None
 
 
-class RandomHeuristic:
+class RandomHeuristic(_ActivityFreeHeuristic):
     """Branch on a uniformly random free variable (seeded)."""
 
     def __init__(self, num_vars: int, default_phase: bool = False, seed: int = 0):
-        self.num_vars = num_vars
-        self.phase = [default_phase] * (num_vars + 1)
-        self.banned: set[int] = set()
+        super().__init__(num_vars, default_phase)
         self._rng = random.Random(seed)
-
-    def bump(self, var: int) -> None:
-        pass
-
-    def decay(self) -> None:
-        pass
-
-    def save_phase(self, lit: int) -> None:
-        self.phase[abs(lit)] = lit > 0
-
-    def requeue(self, var: int) -> None:
-        pass
 
     def pick_branch(self, assignment: Assignment) -> int | None:
         free = [
@@ -75,13 +69,13 @@ class RandomHeuristic:
         return var if self.phase[var] else -var
 
 
-class JeroslowWangHeuristic:
+class JeroslowWangHeuristic(_ActivityFreeHeuristic):
     """One-sided Jeroslow-Wang: J(l) = sum over clauses containing l of
     2^-|clause|, scored once from the input formula. Picks the free
     variable with the best literal score and branches on that phase."""
 
     def __init__(self, num_vars: int, clause_literal_lists, default_phase: bool = False):
-        self.num_vars = num_vars
+        super().__init__(num_vars, default_phase)
         score: dict[int, float] = {}
         for literals in clause_literal_lists:
             if not literals:
@@ -95,22 +89,11 @@ class JeroslowWangHeuristic:
             return max(score.get(var, 0.0), score.get(-var, 0.0))
 
         self._order = sorted(range(1, num_vars + 1), key=var_key, reverse=True)
-        self.banned: set[int] = set()
-        self.phase = [default_phase] * (num_vars + 1)
         for var in range(1, num_vars + 1):
             self.phase[var] = score.get(var, 0.0) >= score.get(-var, 0.0)
 
-    def bump(self, var: int) -> None:
-        pass
-
-    def decay(self) -> None:
-        pass
-
     def save_phase(self, lit: int) -> None:
         pass  # JW keeps its static polarity preference
-
-    def requeue(self, var: int) -> None:
-        pass
 
     def pick_branch(self, assignment: Assignment) -> int | None:
         for var in self._order:

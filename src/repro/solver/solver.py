@@ -27,6 +27,11 @@ class Solver:
     Attach a trace writer (any object satisfying ``repro.trace.io.TraceWriter``)
     to record the resolution trace while solving; pass ``None`` to solve
     without tracing (the paper's Table 1 compares the two).
+
+    Per-variable arrays (the assignment, the watch lists, the heuristic's
+    activities and phases) are sized from the largest variable a clause
+    uses. The header's declared count is only written to the trace header
+    and covered by a SAT model.
     """
 
     def __init__(
@@ -38,10 +43,11 @@ class Solver:
     ):
         self.config = config or SolverConfig()
         self.drup = drup_writer
+        self.num_vars = formula.num_vars  # declared
         self.db = ClauseDatabase.from_formula(formula)
-        self.assignment = Assignment(formula.num_vars)
+        self.assignment = Assignment(self.db.num_vars)
         self.vsids = make_decision_heuristic(
-            self.config.decision_heuristic, formula.num_vars, self.db, self.config
+            self.config.decision_heuristic, self.db.num_vars, self.db, self.config
         )
         self.restart_policy = make_restart_policy(
             self.config.restart_policy,
@@ -70,7 +76,7 @@ class Solver:
         self._solved = True
         start = time.perf_counter()
         if self.trace is not None:
-            self.trace.header(self.assignment.num_vars, self.db.num_original)
+            self.trace.header(self.num_vars, self.db.num_original)
         try:
             status, model = self._search()
         finally:
@@ -135,7 +141,7 @@ class Solver:
                 conflict,
                 self.db,
                 self.assignment,
-                bump_var=self.vsids.bump,
+                bump_vars=self.vsids.bump_all,
                 bump_clause=self.db.bump_clause,
                 minimize=self.config.minimize_learned,
             )
@@ -189,7 +195,9 @@ class Solver:
         into locals: literal values are read by subscript from the
         literal-indexed ``Assignment.values``, watch lists come straight
         from ``ClauseDatabase.watches``, and implied literals are assigned
-        inline with the same writes ``Assignment.assign`` makes.
+        inline with the same writes ``Assignment.assign`` makes. Each
+        watch entry is a ``(cid, literals)`` pair, so a visit reads the
+        clause's literal list straight from the entry.
         """
         assignment = self.assignment
         values = assignment.values
@@ -199,7 +207,6 @@ class Solver:
         positions = assignment.positions
         level = len(assignment.level_limits)
         watches = self.db.watches
-        clause_lits = self.db.lits
         qhead = self._qhead
         propagations = 0
         while qhead < len(trail):
@@ -210,9 +217,9 @@ class Solver:
             i = j = 0
             n = len(watchers)
             while i < n:
-                cid = watchers[i]
+                entry = watchers[i]
                 i += 1
-                lits = clause_lits[cid]
+                lits = entry[1]
                 first = lits[0]
                 if first == false_lit:
                     first = lits[1]
@@ -220,7 +227,7 @@ class Solver:
                     lits[1] = false_lit
                 value = values[first]
                 if value == TRUE:
-                    watchers[j] = cid
+                    watchers[j] = entry
                     j += 1
                     continue
                 for k in range(2, len(lits)):
@@ -228,10 +235,10 @@ class Solver:
                     if values[other] != FALSE:
                         lits[k] = lits[1]
                         lits[1] = other
-                        watches[other].append(cid)
+                        watches[other].append(entry)
                         break
                 else:
-                    watchers[j] = cid
+                    watchers[j] = entry
                     j += 1
                     if value == UNASSIGNED:
                         # The clause is unit: imply its first literal.
@@ -239,7 +246,7 @@ class Solver:
                         values[first] = TRUE
                         values[-first] = FALSE
                         levels[var] = level
-                        antecedents[var] = cid
+                        antecedents[var] = entry[0]
                         positions[var] = len(trail)
                         trail.append(first)
                         continue
@@ -248,7 +255,7 @@ class Solver:
                     del watchers[j:i]
                     self._qhead = len(trail)
                     self.stats.propagations += propagations
-                    return cid
+                    return entry[0]
             del watchers[j:]
         self._qhead = qhead
         self.stats.propagations += propagations
@@ -316,8 +323,9 @@ class Solver:
         return self._propagate()
 
     def _backtrack_to(self, level: int) -> None:
-        """Undo the trail above ``level`` in one pass: each literal's phase
-        is saved and its variable requeued as its assignment is cleared."""
+        """Undo the trail above ``level`` in one pass, then hand the undone
+        literals to the heuristic in one ``unassign`` call (phase saving
+        and requeueing)."""
         assignment = self.assignment
         if level >= assignment.decision_level:
             return
@@ -327,16 +335,14 @@ class Solver:
         levels = assignment.levels
         antecedents = assignment.antecedents
         positions = assignment.positions
-        save_phase = self.vsids.save_phase
-        requeue = self.vsids.requeue
-        for lit in trail[keep:]:
-            save_phase(lit)
+        undone = trail[keep:]
+        for lit in undone:
             var = lit if lit > 0 else -lit
-            requeue(var)
             values[lit] = values[-lit] = UNASSIGNED
             levels[var] = -1
             antecedents[var] = NO_ANTECEDENT
             positions[var] = -1
+        self.vsids.unassign(undone)
         del trail[keep:]
         del assignment.level_limits[level:]
         self._qhead = keep
@@ -373,8 +379,13 @@ class Solver:
 
     def _full_model(self) -> dict[int, bool]:
         model = self.assignment.model()
-        for var in range(1, self.assignment.num_vars + 1):
-            model.setdefault(var, self.vsids.phase[var])
+        phase = self.vsids.phase
+        used = self.assignment.num_vars
+        for var in range(1, used + 1):
+            model.setdefault(var, phase[var])
+        # Declared variables no clause uses take the default phase.
+        for var in range(used + 1, self.num_vars + 1):
+            model[var] = self.config.default_phase
         # Undo preprocessing in reverse application order: variable
         # elimination ran after blocked-clause elimination.
         if self.elimination_records:

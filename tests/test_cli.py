@@ -1,6 +1,10 @@
 """CLI entry points, driven in-process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,3 +276,58 @@ def test_trim_verify_cli(unsat_cnf, clean_trace, tmp_path, capsys):
 def test_umbrella_knows_analyze(clean_trace, capsys):
     assert main(["analyze", str(clean_trace)]) == 0
     assert "core:" in capsys.readouterr().out
+
+
+# -- malformed and hostile DIMACS input ----------------------------------------
+
+BAD_CNF = {
+    "clause_count": ("p cnf 3 5\n1 2 0\n-1 0\n", "header declares 5 clauses, found 2"),
+    "bad_token": ("p cnf 3 2\n1 x 0\n-1 0\n", "line 2: bad token 'x'"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("case", sorted(BAD_CNF))
+def test_malformed_dimacs_is_a_one_line_error(tmp_path, capsys, command, case):
+    text, message = BAD_CNF[case]
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text(text)
+    trace = tmp_path / "any.trace"
+    trace.write_text("")
+    argv = [command, str(cnf)] + ([str(trace)] if command == "check" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"repro: {cnf}: {message}\n"
+    assert captured.out == ""
+
+
+#: Declares two billion variables but uses one.
+HEADER_BOMB = "p cnf 2000000000 2\n1 0\n-1 0\n"
+
+#: Runs ``repro`` on argv under a 1 GiB address-space limit, so any
+#: allocation sized from the header fails with MemoryError.
+_LIMITED_REPRO = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--trace", "bomb.trace"], ["--drup", "bomb.drat"], ["--validate"]]
+)
+def test_header_variable_count_does_not_size_the_solver(tmp_path, flags):
+    pytest.importorskip("resource")
+    (tmp_path / "bomb.cnf").write_text(HEADER_BOMB)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", _LIMITED_REPRO, "solve", "bomb.cnf", *flags],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "s UNSAT" in result.stdout.splitlines()
+    if flags[:1] == ["--trace"]:
+        # The trace header still records the declared count.
+        assert (tmp_path / "bomb.trace").read_text().splitlines()[0] == "T 2000000000 2"
