@@ -39,7 +39,7 @@ def _oracle_outcome(chain, learned_cid=99):
 
 
 def _kernel_outcome(chain, learned_cid=99, raw_sources=False):
-    kernel = ResolutionKernel(num_vars=8)
+    kernel = ResolutionKernel()
     if raw_sources:
         table = {cid: list(lits) for cid, lits in enumerate(chain, start=1)}
     else:
@@ -125,16 +125,17 @@ def test_duplicate_literals_do_not_double_count_clashes():
 
 
 def test_empty_chain_raises():
-    kernel = ResolutionKernel(num_vars=4)
+    kernel = ResolutionKernel()
     with pytest.raises(ResolutionError):
         kernel.resolve_chain(7, (), lambda cid: [1])
 
 
 def test_kernel_grows_past_initial_capacity():
-    kernel = ResolutionKernel(num_vars=1)
+    kernel = ResolutionKernel()
     table = {1: kernel.intern([100, 2]), 2: kernel.intern([-100, 3])}
     result = kernel.resolve_chain(9, (1, 2), table.__getitem__)
     assert list(result) == [2, 3]
+    assert list(kernel.resolve([100, 2], [-100, 3])) == [2, 3]
 
 
 pairs = st.tuples(clauses, clauses)
@@ -144,7 +145,7 @@ pairs = st.tuples(clauses, clauses)
 @settings(max_examples=200)
 def test_single_step_resolve_matches_oracle(pair):
     clause_a, clause_b = pair
-    kernel = ResolutionKernel(num_vars=8)
+    kernel = ResolutionKernel()
     try:
         expected = ("ok", resolve(frozenset(clause_a), frozenset(clause_b)))
     except ResolutionError as exc:
@@ -219,7 +220,7 @@ def test_interned_clause_survives_pickling_without_mark_sets():
     clause = pickle.loads(pickle.dumps(store.intern([1, 2])))
     assert isinstance(clause, InternedClause)
     assert list(clause) == [1, 2]
-    kernel = ResolutionKernel(num_vars=4)
+    kernel = ResolutionKernel()
     table = {1: clause, 2: kernel.intern([-1, 3])}
     assert list(kernel.resolve_chain(5, (1, 2), table.__getitem__)) == [2, 3]
 

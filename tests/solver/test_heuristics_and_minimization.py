@@ -39,6 +39,24 @@ def test_all_heuristics_produce_checkable_traces(heuristic):
     assert DepthFirstChecker(formula, writer.to_trace()).check().verified
 
 
+@pytest.mark.parametrize("default_phase", [False, True])
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_declared_but_unused_variables_take_the_default_phase(heuristic, default_phase):
+    # The header declares 8 variables; clauses use only 1-3. The solver
+    # sizes its arrays from the variables used, so it never branches on
+    # 4-8 (one decision, on a used variable, then BCP finishes) and the
+    # model gives each of them ``default_phase``, whatever the heuristic.
+    formula = CnfFormula(8, [[1, 2], [-1, 3], [-2, -3]])
+    config = SolverConfig(decision_heuristic=heuristic, default_phase=default_phase, seed=3)
+    result = solve_formula(formula, config)
+    assert result.is_sat
+    assert sorted(result.model) == list(range(1, 9))
+    assert formula.evaluate(result.model)
+    assert all(result.model[var] is default_phase for var in range(4, 9))
+    assert result.stats.decisions == 1
+    assert result.stats.propagations == 3
+
+
 def test_unknown_heuristic_rejected():
     with pytest.raises(ValueError):
         SolverConfig(decision_heuristic="oracle")
